@@ -268,13 +268,7 @@ class KernelSimulator:
         tids = [spec.tid for spec in workload]
         if len(set(tids)) != len(tids):
             raise ValueError("workload contains duplicate transaction ids")
-        for spec in workload:
-            for op in spec.operations:
-                if not 0 <= op.item < config.db_size:
-                    raise KeyError(
-                        f"transaction {spec.tid} updates item {op.item}, "
-                        f"outside the database of size {config.db_size}"
-                    )
+        data_masks, write_masks = self._encode_operations(workload, config.db_size)
 
         self.config = config
         self.workload = tuple(workload)
@@ -357,48 +351,12 @@ class KernelSimulator:
         self._deadline = [spec.deadline for spec in self.workload]
         self._type_id = [spec.type_id for spec in self.workload]
         self._crit = [float(spec.criticalness) for spec in self.workload]
-        self._n_ops = [len(spec.operations) for spec in self.workload]
         self._node_schedule = [spec.node_schedule for spec in self.workload]
         self._program = [spec.program_name for spec in self.workload]
-        # Flattened operation table: slot i's ops live at
-        # [op_off[i], op_off[i] + n_ops[i]).
-        self._op_off = []
-        offset = 0
-        for count in self._n_ops:
-            self._op_off.append(offset)
-            offset += count
-        all_ops = [op for spec in self.workload for op in spec.operations]
-        self._op_item = [op.item for op in all_ops]
-        self._op_compute = [op.compute_time for op in all_ops]
-        self._op_io = [op.io_time for op in all_ops]
-        self._op_write = [op.is_write for op in all_ops]
-        # Resource time per slot, for the deadline-miss metric bands.
-        # Same additions in the same order as TransactionSpec.resource_time,
-        # computed from the flat arrays instead of per-op attribute walks.
-        op_compute = self._op_compute
-        op_io = self._op_io
-        self._resource_time = [
-            sum(map(_add, op_compute[off:off + cnt], op_io[off:off + cnt]))
-            for off, cnt in zip(self._op_off, self._n_ops)
-        ]
+        # The flat operation table, per-slot op counts and resource times
+        # were set by _encode_operations above.
 
         # -- static conflict masks ------------------------------------------
-        # Same masks as SpecMasks.from_specs, built from the flat op
-        # arrays (cheaper than re-walking the spec objects).
-        op_item = self._op_item
-        op_write = self._op_write
-        data_masks: list[int] = []
-        write_masks: list[int] = []
-        for off, cnt in zip(self._op_off, self._n_ops):
-            data_mask = 0
-            write_mask = 0
-            for k in range(off, off + cnt):
-                bit = 1 << op_item[k]
-                data_mask |= bit
-                if op_write[k]:
-                    write_mask |= bit
-            data_masks.append(data_mask)
-            write_masks.append(write_mask)
         self._masks = SpecMasks(
             data_masks, write_masks, max(1, (config.db_size + 63) // 64)
         )
@@ -556,6 +514,80 @@ class KernelSimulator:
         self._views: list[_SlotView] = (
             [_SlotView(tid) for tid in self._tid] if trace is not None else []
         )
+
+    def _encode_operations(
+        self, workload: Sequence[TransactionSpec], db_size: int
+    ) -> tuple[list[int], list[int]]:
+        """Build the flat operation table and the per-slot static data.
+
+        Sets the ``_op_*`` arrays, ``_op_off``, ``_n_ops`` and
+        ``_resource_time``; returns the per-slot data and write masks
+        (the same masks as :meth:`SpecMasks.from_specs`).  Raises
+        ``KeyError`` for an item outside the database.
+
+        Slot ``i``'s ops live at ``[op_off[i], op_off[i] + n_ops[i])``.
+        Generated instances of one type share one operations tuple (see
+        :mod:`repro.workload.generator`), so the table holds one row per
+        distinct tuple: its ops, range check, resource time and
+        data/write masks are built once, and every slot sharing the
+        tuple points at that row.  A repeat is looked up by type id and
+        confirmed by identity, so equal but separate tuples (a loaded
+        workload, hand-built specs) just get rows of their own.
+        """
+        op_item: list[int] = []
+        op_compute: list[float] = []
+        op_io: list[float] = []
+        op_write: list[bool] = []
+        # Row: (operations, offset, count, resource time, data mask,
+        # write mask).  ``rows`` maps a type id to its latest row.
+        rows: dict[int, tuple] = {}
+        slot_rows: list[tuple] = []
+        for spec in workload:
+            operations = spec.operations
+            row = rows.get(spec.type_id)
+            if row is None or row[0] is not operations:
+                offset = len(op_item)
+                data_mask = 0
+                write_mask = 0
+                for op in operations:
+                    item = op.item
+                    if not 0 <= item < db_size:
+                        raise KeyError(
+                            f"transaction {spec.tid} updates item {item}, "
+                            f"outside the database of size {db_size}"
+                        )
+                    bit = 1 << item
+                    data_mask |= bit
+                    if op.is_write:
+                        write_mask |= bit
+                    op_item.append(item)
+                    op_compute.append(op.compute_time)
+                    op_io.append(op.io_time)
+                    op_write.append(op.is_write)
+                # Same additions in the same order as
+                # TransactionSpec.resource_time.
+                row = (
+                    operations,
+                    offset,
+                    len(operations),
+                    sum(map(_add, op_compute[offset:], op_io[offset:])),
+                    data_mask,
+                    write_mask,
+                )
+                rows[spec.type_id] = row
+            slot_rows.append(row)
+        _, op_off, n_ops, resource_time, data_masks, write_masks = (
+            list(column) for column in zip(*slot_rows)
+        )
+        self._op_item = op_item
+        self._op_compute = op_compute
+        self._op_io = op_io
+        self._op_write = op_write
+        self._op_off = op_off
+        self._n_ops = n_ops
+        # Resource time per slot, for the deadline-miss metric bands.
+        self._resource_time = resource_time
+        return data_masks, write_masks
 
     # ------------------------------------------------------------------
     # Public API

@@ -211,7 +211,7 @@ class MetricsTraceHook:
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
 
-    def __call__(self, name: str, **fields: object) -> None:
+    def __call__(self, name: str, /, **fields: object) -> None:
         self.registry.counter(f"trace.{name}").inc()
 
 
@@ -219,7 +219,7 @@ def fanout(*hooks: Callable[..., None]) -> Callable[..., None]:
     """One trace hook that forwards every event to all ``hooks``."""
     live = tuple(hook for hook in hooks if hook is not None)
 
-    def forward(name: str, **fields: object) -> None:
+    def forward(name: str, /, **fields: object) -> None:
         for hook in live:
             hook(name, **fields)
 

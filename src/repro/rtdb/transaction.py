@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Optional, Sequence
 
 
@@ -75,7 +76,12 @@ class Operation:
 
 @dataclasses.dataclass(frozen=True)
 class TransactionSpec:
-    """Immutable workload-level description of one transaction."""
+    """Immutable workload-level description of one transaction.
+
+    ``data_set``, ``write_set`` and ``read_set`` are computed on first
+    use and cached on the instance; fields, equality and hashing are
+    unaffected.
+    """
 
     tid: int
     type_id: int
@@ -117,19 +123,19 @@ class TransactionSpec:
         """Isolated CPU demand only (excludes disk legs)."""
         return sum(op.compute_time for op in self.operations)
 
-    @property
+    @functools.cached_property
     def write_set(self) -> frozenset[int]:
         """Every item this transaction updates (write-locks)."""
         return frozenset(op.item for op in self.operations if op.is_write)
 
-    @property
+    @functools.cached_property
     def read_set(self) -> frozenset[int]:
         """Every item this transaction only reads (shared locks)."""
         return frozenset(
             op.item for op in self.operations if not op.is_write
         ) - self.write_set
 
-    @property
+    @functools.cached_property
     def data_set(self) -> frozenset[int]:
         """Every item this transaction accesses in any mode."""
         return frozenset(op.item for op in self.operations)

@@ -56,7 +56,7 @@ class TraceSink(Protocol):
     spilled) flattened records.
     """
 
-    def __call__(self, name: str, **fields: Any) -> None: ...
+    def __call__(self, name: str, /, **fields: Any) -> None: ...
 
     def close(self) -> None: ...
 
@@ -78,7 +78,7 @@ class RingSink:
         self.total_seen = 0
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
 
-    def __call__(self, name: str, **fields: Any) -> None:
+    def __call__(self, name: str, /, **fields: Any) -> None:
         self.total_seen += 1
         self._ring.append(flatten_event(name, fields))
 
@@ -113,7 +113,7 @@ class JsonlSink:
         self.events_written = 0
         self._handle: Any = open(self.path, "w")
 
-    def __call__(self, name: str, **fields: Any) -> None:
+    def __call__(self, name: str, /, **fields: Any) -> None:
         if self._handle is None:
             raise ValueError(f"JsonlSink({self.path}) is closed")
         self._handle.write(json.dumps(flatten_event(name, fields)) + "\n")

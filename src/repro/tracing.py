@@ -86,7 +86,7 @@ class TraceCounters:
         self.sums: dict[tuple[str, str], float] = {}
         self.last: dict[str, dict] = {}
 
-    def __call__(self, name: str, **fields) -> None:
+    def __call__(self, name: str, /, **fields) -> None:
         self.counts[name] = self.counts.get(name, 0) + 1
         self.last[name] = fields
         for key, value in fields.items():
@@ -126,7 +126,7 @@ class EventLog:
     def __init__(self) -> None:
         self.events: list[dict] = []
 
-    def __call__(self, name: str, **fields) -> None:
+    def __call__(self, name: str, /, **fields) -> None:
         # Flattening (transaction-like values to tids) is shared with
         # the streaming sinks, so an in-memory log and a spilled JSONL
         # stream hold byte-identical records.

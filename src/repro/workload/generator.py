@@ -7,6 +7,18 @@ drawing variates during the run — means the exact same workload can be
 replayed under every policy, giving the paired EDF-vs-CCA comparisons the
 paper's methodology implies (same seeds, same transactions).
 
+Every transaction is an instance of one of the run's pre-analysed types,
+and a type fixes its instances' items, write flags and compute time.  So
+each type's :class:`~repro.rtdb.transaction.Operation` objects are built
+once per run and shared.  A main-memory workload draws no disk coins, so
+every instance of a type shares one ``operations`` tuple (and its
+resource time).  On disk each (type, operation) pair is pre-built with
+and without its disk leg, and each instance picks one of the two per
+operation by its own coin flip, drawn in operation order.  The
+workload is the same, value for value, as building every operation
+afresh; consumers that need per-instance identity must not rely on
+``operations`` tuples being distinct objects.
+
 Stream separation (see :class:`repro.sim.random.StreamFactory`) keeps the
 type table, arrival process, type choices, slack draws and disk-access
 coin flips independent, so e.g. changing the arrival rate does not
@@ -59,23 +71,26 @@ class WorkloadGenerator:
             arrivals = poisson_arrivals(
                 arrival_stream, config.arrival_rate, config.n_transactions
             )
+        kinds = [_TypeOperations(tx_type, config) for tx_type in types]
+        disk = config.disk_resident
+        prob = config.disk_access_prob
         specs: list[TransactionSpec] = []
         for tid, arrival_time in enumerate(arrivals):
-            tx_type = choice_stream.choice(types)
-            operations = tuple(
-                Operation(
-                    item=item,
-                    compute_time=tx_type.compute_per_update,
-                    io_time=(
-                        config.disk_access_time
-                        if config.disk_resident and io_stream.coin(config.disk_access_prob)
-                        else 0.0
-                    ),
-                    is_write=is_write,
+            # Same draw as choosing from ``types``: one index per pick.
+            kind = choice_stream.choice(kinds)
+            tx_type = kind.tx_type
+            if disk:
+                # One coin per operation, in operation order; heads (True)
+                # picks the with-disk-leg half of the pair.
+                operations = tuple(
+                    [pair[io_stream.coin(prob)] for pair in kind.pairs]
                 )
-                for item, is_write in zip(tx_type.items, tx_type.write_flags)
-            )
-            resource_time = sum(op.compute_time + op.io_time for op in operations)
+                resource_time = sum(
+                    op.compute_time + op.io_time for op in operations
+                )
+            else:
+                operations = kind.memory_ops
+                resource_time = kind.memory_resource_time
             deadline = assign_deadline(
                 arrival_time,
                 resource_time,
@@ -100,6 +115,48 @@ class WorkloadGenerator:
                 )
             )
         return specs
+
+
+class _TypeOperations:
+    """One type's Operations, built once and shared by its instances.
+
+    ``memory_ops`` is the operations tuple with no disk legs; main-memory
+    instances share it, and its ``memory_resource_time``, outright.  On
+    disk, ``pairs[k]`` is operation ``k`` without and with its disk leg
+    (empty in main memory).
+    """
+
+    __slots__ = ("tx_type", "memory_ops", "memory_resource_time", "pairs")
+
+    def __init__(self, tx_type: TransactionType, config: SimulationConfig) -> None:
+        self.tx_type = tx_type
+        self.memory_ops = tuple(
+            Operation(
+                item=item,
+                compute_time=tx_type.compute_per_update,
+                io_time=0.0,
+                is_write=is_write,
+            )
+            for item, is_write in zip(tx_type.items, tx_type.write_flags)
+        )
+        # Same additions in the same order as TransactionSpec.resource_time.
+        self.memory_resource_time = sum(
+            op.compute_time + op.io_time for op in self.memory_ops
+        )
+        self.pairs: tuple[tuple[Operation, Operation], ...] = ()
+        if config.disk_resident:
+            self.pairs = tuple(
+                (
+                    op,
+                    Operation(
+                        item=op.item,
+                        compute_time=op.compute_time,
+                        io_time=config.disk_access_time,
+                        is_write=op.is_write,
+                    ),
+                )
+                for op in self.memory_ops
+            )
 
 
 def generate_workload(config: SimulationConfig, seed: int) -> list[TransactionSpec]:

@@ -9,6 +9,7 @@ EDF-HP (the paper's motivating example in miniature).
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core.kernel import KernelSimulator
 from repro.core.policy import CCAPolicy, EDFPolicy, EDFWaitPolicy
 from repro.core.simulator import RTDBSimulator
 
@@ -212,5 +213,15 @@ class TestAggregates:
 class TestWorkloadValidation:
     def test_item_outside_database_rejected(self, mm_config):
         bad = make_spec(1, [mm_config.db_size + 5])
-        with pytest.raises(KeyError, match="outside the database"):
-            RTDBSimulator(mm_config, [bad], EDFPolicy())
+        for engine in (RTDBSimulator, KernelSimulator):
+            with pytest.raises(KeyError, match="outside the database"):
+                engine(mm_config, [bad], EDFPolicy())
+
+    def test_kernel_checks_each_distinct_tuple_of_a_type(self, mm_config):
+        # The kernel encodes a type's operations once per distinct tuple;
+        # a second spec of the same type with its own, out-of-range
+        # tuple must still be checked.
+        good = make_spec(1, [1, 2], type_id=3)
+        bad = make_spec(2, [mm_config.db_size + 5], type_id=3)
+        with pytest.raises(KeyError, match="transaction 2 .* outside the database"):
+            KernelSimulator(mm_config, [good, bad], EDFPolicy())

@@ -1,5 +1,7 @@
 """Transaction specs and runtime state machine."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,14 @@ class TestSpec:
     def test_write_set(self):
         spec = make_spec(1, [5, 3, 5])
         assert spec.write_set == frozenset({3, 5})
+
+    def test_cached_item_sets_leave_identity_alone(self):
+        spec = make_spec(1, [5, 3])
+        fresh = make_spec(1, [5, 3])
+        assert spec.data_set is spec.data_set
+        assert (spec.write_set, spec.read_set) == (frozenset({3, 5}), frozenset())
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert pickle.loads(pickle.dumps(spec)) == fresh
 
     def test_empty_operations_rejected(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ from repro.rtdb.transaction import Operation, TransactionSpec
 from repro.tracing import EventLog
 from repro.workload.generator import generate_workload
 from repro.workload.programs import TreeWorkloadGenerator
+from repro.workload.serialization import load_workload, save_workload
 
 #: Policy factories — fresh objects per engine run, because
 #: StaticEvaluationPolicy caches priorities per (tid, epoch) on the
@@ -461,6 +462,54 @@ class TestRegressions:
             POLICIES["EDF-HP"],
             max_events=50,
         )
+
+
+class TestSharedOperationRows:
+    """Generated instances of a type share one operations tuple, and the
+    kernel encodes each distinct tuple once.  The sharing must be
+    invisible: a loaded copy of the workload, which shares nothing, runs
+    identically."""
+
+    CONFIGS = {
+        "mm": BASE.replace(db_size=30, n_transaction_types=6, n_transactions=120),
+        "disk": DISK.replace(db_size=30, n_transaction_types=6, n_transactions=80),
+    }
+
+    @pytest.mark.parametrize("base", sorted(CONFIGS))
+    @pytest.mark.parametrize("policy", ["EDF-HP", "CCA"])
+    def test_loaded_copy_runs_identically(self, base, policy, tmp_path):
+        config = self.CONFIGS[base]
+        shared = generate_workload(config, 11)
+        copy = load_workload(save_workload(shared, tmp_path / "w.jsonl"))
+        assert copy == shared
+        outcomes = []
+        for workload in (shared, copy):
+            log = EventLog()
+            result = KernelSimulator(
+                config, workload, POLICIES[policy](), trace=log
+            ).run()
+            outcomes.append((result, log.events))
+        (shared_result, shared_events), (copy_result, copy_events) = outcomes
+        _assert_same_events(copy_events, shared_events)
+        assert shared_result == copy_result, _result_diff(copy_result, shared_result)
+
+    def test_one_row_per_distinct_type(self, tmp_path):
+        config = self.CONFIGS["mm"]
+        shared = generate_workload(config, 11)
+        kernel = KernelSimulator(config, shared, EDFPolicy())
+        first: dict[int, TransactionSpec] = {}
+        for spec in shared:
+            first.setdefault(spec.type_id, spec)
+        assert len(set(kernel._op_off)) == len(first)
+        assert len(kernel._op_item) == sum(
+            len(spec.operations) for spec in first.values()
+        )
+        copy = load_workload(save_workload(shared, tmp_path / "w.jsonl"))
+        unshared = KernelSimulator(config, copy, EDFPolicy())
+        assert len(set(unshared._op_off)) == len(copy)
+        assert unshared._resource_time == kernel._resource_time
+        assert unshared._masks.data == kernel._masks.data
+        assert unshared._masks.write == kernel._masks.write
 
 
 class TestEngineSelection:

@@ -1,9 +1,14 @@
 """Full workload assembly."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import SimulationConfig
+from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE
 from repro.workload.generator import WorkloadGenerator, generate_workload
+from repro.workload.serialization import spec_to_dict
 
 
 def config(**overrides):
@@ -85,3 +90,44 @@ class TestGenerateWorkload:
         slow = WorkloadGenerator(config(arrival_rate=1.0), seed=9).make_types()
         fast = WorkloadGenerator(config(arrival_rate=10.0), seed=9).make_types()
         assert slow == fast
+
+
+#: sha256 of the sorted-key JSON of ``spec_to_dict`` over the whole
+#: workload, pinned from the generator that built every Operation per
+#: instance.  Sharing operations must not change one bit of the output.
+GOLDEN_DIGESTS = {
+    ("mm", 1): "0e21774585803483b619bea1afed72b4d835bc5db54e95bb2c7f4b0c50564a14",
+    ("mm", 2): "956cc79b0e692e817657b5dc81daaba557d6c4716c02f50e1dce3bd2db46d6d7",
+    ("disk", 1): "ab95de3224ad8e4ed7ceaf5b90d944bcd2eeb4a9611489c5b7d544556d0a81a8",
+    ("disk", 2): "912fc1b987cff864edd602f95573b57e3a18385ac0042340aba7e38d008f15f2",
+}
+BASES = {"mm": MAIN_MEMORY_BASE, "disk": DISK_BASE}
+
+
+def workload_digest(workload) -> str:
+    blob = json.dumps([spec_to_dict(spec) for spec in workload], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestSharedOperations:
+    @pytest.mark.parametrize("base, seed", sorted(GOLDEN_DIGESTS))
+    def test_paper_workloads_unchanged_bit_for_bit(self, base, seed):
+        workload = generate_workload(BASES[base], seed)
+        assert workload_digest(workload) == GOLDEN_DIGESTS[(base, seed)]
+
+    def test_main_memory_instances_share_operations(self):
+        first: dict[int, tuple] = {}
+        for spec in generate_workload(MAIN_MEMORY_BASE, seed=1):
+            shared = first.setdefault(spec.type_id, spec.operations)
+            assert spec.operations is shared
+        assert len(first) > 1
+
+    def test_disk_instances_share_operation_objects(self):
+        # Each (type, op index) has exactly two Operation objects: with
+        # and without the disk leg.
+        seen: dict[tuple[int, int, bool], object] = {}
+        for spec in generate_workload(DISK_BASE, seed=1):
+            for index, op in enumerate(spec.operations):
+                key = (spec.type_id, index, op.needs_io)
+                assert seen.setdefault(key, op) is op
+        assert any(needs_io for _, _, needs_io in seen)
