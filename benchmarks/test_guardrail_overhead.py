@@ -23,7 +23,8 @@ from repro.config import SimulationConfig
 from repro.core.kernel import KernelSimulator
 from repro.core.policy import make_policy
 from repro.core.simulator import RTDBSimulator
-from repro.experiments.parallel import RetryPolicy, resolve_fallback, simulate_cell
+from repro.experiments.cell import CellOutcome, simulate_cell
+from repro.experiments.parallel import RetryPolicy, resolve_fallback
 from repro.sim.stream import JsonlSink
 from repro.tracing import EventLog
 from repro.workload.generator import generate_workload
@@ -67,7 +68,7 @@ def test_memory_guard_overhead_within_budget():
 def test_disabled_guardrails_bind_nothing():
     """With guardrails off, nothing is bound anywhere: no memory limit
     on either engine, no fallback policy in the executor defaults, no
-    envelope wrapping on the bare cell path — structural, not
+    fallback record on the bare cell path — structural, not
     statistical."""
     workload = generate_workload(CONFIG, 1)
     policy = make_policy("CCA", penalty_weight=CONFIG.penalty_weight)
@@ -75,10 +76,13 @@ def test_disabled_guardrails_bind_nothing():
     assert RTDBSimulator(CONFIG, workload, policy).max_memory_mb is None
     assert RetryPolicy().memory_mb is None
     assert resolve_fallback(None) is None
-    # The unguarded worker path returns the result itself — no
-    # CellEnvelope indirection unless a FallbackPolicy is active.
+    # The unguarded worker path ships a bare CellOutcome: no fallback
+    # record, and nothing observed or profiled, unless asked for.
     outcome = simulate_cell(CONFIG.replace(n_transactions=30), 1, "CCA")
-    assert type(outcome).__name__ == "SimulationResult"
+    assert type(outcome) is CellOutcome
+    assert type(outcome.result).__name__ == "SimulationResult"
+    assert outcome.fallback is None
+    assert outcome.deltas is None and outcome.prof_state is None
 
 
 def traced_peak(sink_factory):

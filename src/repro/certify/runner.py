@@ -22,8 +22,12 @@ from repro.certify.certifier import CertificationResult, certify_events
 from repro.core.simulator import SimulationResult
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
 from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
-from repro.experiments.parallel import SweepCell, simulate_cell_traced
+from repro.experiments.cell import simulate_cell
+from repro.experiments.parallel import SweepCell
 from repro.obs.registry import MetricsRegistry
+from repro.sim.stream import JsonlSink, iter_jsonl
+from repro.tracing import EventLog
+from repro.workload.generator import generate_workload
 
 #: Base configuration behind each sweep-less experiment.
 _TABLE_BASES = {"table1": MAIN_MEMORY_BASE, "table2": DISK_BASE}
@@ -135,23 +139,21 @@ def certify_cell(
     offline re-certification (``repro certify --events``).
     """
     if stream_dir is None:
-        simulation, log, workload = simulate_cell_traced(
-            cell.config, cell.seed, cell.policy, max_wall_s=max_wall_s
-        )
+        log = EventLog()
+        simulation = simulate_cell(
+            cell.config, cell.seed, cell.policy, trace=log, max_wall_s=max_wall_s
+        ).result
         events = log.events
     else:
-        from repro.sim.stream import JsonlSink, iter_jsonl
-
         path = stream_path_for(stream_dir, experiment, cell)
         with JsonlSink(path) as sink:
-            simulation, _, workload = simulate_cell_traced(
-                cell.config,
-                cell.seed,
-                cell.policy,
-                max_wall_s=max_wall_s,
-                sink=sink,
-            )
+            simulation = simulate_cell(
+                cell.config, cell.seed, cell.policy, trace=sink, max_wall_s=max_wall_s
+            ).result
         events = iter_jsonl(path)
+    # Generation is deterministic in (config, seed): this is the very
+    # workload the traced run simulated.
+    workload = generate_workload(cell.config, cell.seed)
     result = certify_events(
         events,
         workload,

@@ -738,10 +738,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def trace_main(argv: Sequence[str]) -> int:
-    from repro.core.policy import make_policy
-    from repro.core.simulator import RTDBSimulator
+    from repro.experiments.cell import simulate_cell
     from repro.tracing import EventLog
-    from repro.workload.generator import generate_workload
 
     args = build_trace_parser().parse_args(argv)
     scale = _resolve_scale(args.scale)
@@ -760,19 +758,20 @@ def trace_main(argv: Sequence[str]) -> int:
 
     log = EventLog()
     registry = MetricsRegistry()
-    workload = generate_workload(cell.config, cell.seed)
-    policy = make_policy(cell.policy, penalty_weight=cell.config.penalty_weight)
     started = time.time()
-    result = RTDBSimulator(
-        cell.config, workload, policy, trace=log, metrics=registry
-    ).run()
+    # The engine the sweep runs: observing never switches engines.
+    outcome = simulate_cell(
+        cell.config, cell.seed, cell.policy, trace=log, observe=True
+    )
+    registry.merge_snapshot(outcome.deltas or {})
+    result = outcome.result
 
     print(
         f"{args.experiment} cell x={cell.x:g} seed={cell.seed} "
         f"policy={cell.policy} (scale={scale.name})"
     )
     print(
-        f"{len(workload)} transactions, makespan {result.makespan:.6g} ms, "
+        f"{len(result.records)} transactions, makespan {result.makespan:.6g} ms, "
         f"miss {result.miss_percent:.1f}%, "
         f"{result.total_restarts} restarts, "
         f"CPU {result.cpu_utilization * 100:.1f}% busy"
@@ -854,6 +853,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
 
 
 def profile_main(argv: Sequence[str]) -> int:
+    from repro.experiments.cell import simulate_cell
     from repro.experiments.report import render_kernel_digest
     from repro.obs.prof import SpanProfiler, timing_section, validate_chrome_trace
 
@@ -868,14 +868,14 @@ def profile_main(argv: Sequence[str]) -> int:
         cell = _select_cell(args.experiment, scale, cells, args.cell)
         if cell is None:
             return 2
-        result, wall_ms, deltas = parallel.simulate_cell_observed(
-            cell.config, cell.seed, cell.policy, profile=prof
-        )
-        registry.merge_snapshot(deltas)
+        outcome = simulate_cell(cell.config, cell.seed, cell.policy, profile=True)
+        registry.merge_snapshot(outcome.deltas or {})
+        prof.extend(outcome.prof_state or {})
         print(
             f"{args.experiment} cell x={cell.x:g} seed={cell.seed} "
             f"policy={cell.policy} (scale={scale.name}): "
-            f"miss {result.miss_percent:.1f}%, wall {wall_ms:.1f} ms"
+            f"miss {outcome.result.miss_percent:.1f}%, "
+            f"wall {outcome.wall_ms:.1f} ms"
         )
     else:
         # Bypass the result cache: a cache hit records no timing, and a

@@ -1,8 +1,9 @@
 """Engine selection: reference object-graph engine vs array kernel.
 
 Every entry point that used to construct :class:`RTDBSimulator` directly
-(``simulate_cell`` and friends, the experiment runner) now goes through
-:func:`make_simulator`, which honours ``SimulationConfig.engine``:
+(the one sweep-cell runner ``repro.experiments.cell.simulate_cell``,
+the experiment runner) now goes through :func:`make_simulator`, which
+honours ``SimulationConfig.engine``:
 
 * ``"auto"`` (default) — use the array-oriented
   :class:`~repro.core.kernel.KernelSimulator` whenever this

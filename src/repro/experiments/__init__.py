@@ -33,8 +33,8 @@ from repro.experiments.parallel import (
     SweepError,
     SweepStats,
     execute_cells,
-    simulate_cell,
 )
+from repro.experiments.cell import CellOutcome, simulate_cell
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     FigureResult,
@@ -46,6 +46,7 @@ from repro.experiments.report import render_figure, write_csv
 __all__ = [
     "ALL_EXPERIMENTS",
     "CellFailure",
+    "CellOutcome",
     "DISK_BASE",
     "DISK_SEEDS",
     "ExperimentScale",

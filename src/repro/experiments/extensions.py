@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.config import SimulationConfig
-from repro.core.policy import CCAPolicy, EDFPolicy, EDFWaitPolicy, EDFWPPolicy
+from repro.core.policy import CCAPolicy, EDFPolicy
 from repro.core.simulator import RTDBSimulator
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
 from repro.experiments.figures import FigureResult, Series
-from repro.experiments.runner import compare_policies
+from repro.experiments.runner import compare_policies, sweep
 from repro.metrics.summary import summarize
 from repro.mp.simulator import MultiprocessorSimulator
 from repro.occ.simulator import OCCSimulator
@@ -222,25 +221,16 @@ def ext_abort_wait_spectrum(scale: ExperimentScale) -> FigureResult:
     half of the arrival-rate axis.
     """
     base = scale.scale_config(MAIN_MEMORY_BASE)
-    seeds = scale.seeds_for(base)
-    factories = {
-        "EDF-HP": EDFPolicy,
-        "EDF-WP": EDFWPPolicy,
-        "EDF-Wait": EDFWaitPolicy,
-        "CCA": lambda: CCAPolicy(1.0),
+    policies = ("EDF-HP", "EDF-WP", "EDF-Wait", "CCA")
+    swept = sweep(
+        {rate: base.replace(arrival_rate=rate) for rate in (6.0, 8.0, 10.0)},
+        scale.seeds_for(base),
+        policies,
+    )
+    series: dict[str, Series] = {
+        name: [(rate, summaries[name].miss_percent.mean) for rate, summaries in swept.items()]
+        for name in policies
     }
-    series: dict[str, Series] = {name: [] for name in factories}
-    for rate in (6.0, 8.0, 10.0):
-        config = base.replace(arrival_rate=rate)
-        runs: dict[str, list] = {name: [] for name in factories}
-        for seed in seeds:
-            workload = generate_workload(config, seed)
-            for name, factory in factories.items():
-                runs[name].append(
-                    RTDBSimulator(config, workload, factory()).run()
-                )
-        for name, results in runs.items():
-            series[name].append((rate, summarize(results).miss_percent.mean))
     return FigureResult(
         figure_id="ext-wp",
         title="The abort/wait spectrum: miss percent vs arrival rate",

@@ -3,8 +3,8 @@ merging.
 
 A *cell* is the atomic unit of every paper experiment: simulate one
 configuration for one seed under one policy.  Cells are independent —
-workloads are regenerated deterministically from ``(config, seed)`` in
-each worker, so replaying the same seed under several policies in
+each worker runs :func:`~repro.experiments.cell.simulate_cell`, which
+regenerates the workload deterministically from ``(config, seed)``, so replaying the same seed under several policies in
 different processes still compares *paired* workloads, exactly as the
 serial runner does.
 
@@ -47,16 +47,13 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.config import SimulationConfig
-from repro.core.factory import make_simulator
-from repro.core.kernel import KernelSimulator
-from repro.core.policy import make_policy
 from repro.core.simulator import SimulationResult
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.quarantine import CellEnvelope, FallbackPolicy, run_cell_guarded
+from repro.experiments.cell import CellOutcome, simulate_cell
+from repro.experiments.quarantine import FallbackPolicy, run_cell_guarded
 from repro.obs.prof import SpanProfiler, observe_stage
 from repro.obs.registry import MetricsRegistry
-from repro.workload.generator import generate_workload
 
 TraceHook = Callable[..., None]
 """``callable(event_name, **fields)`` — same shape as simulator trace
@@ -253,181 +250,22 @@ class SweepStats:
         return self.cells_run / self.elapsed
 
 
-def simulate_cell(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-) -> SimulationResult:
-    """Run one cell from scratch — the worker-process entry point.
-
-    Deterministic in its arguments: the workload is generated from
-    ``(config, seed)`` and the simulator draws no further randomness,
-    so the same cell yields the same result in any process.
-    ``max_wall_s`` (when set) bounds the simulation's real run time via
-    the engine's wall-clock guard; ``max_memory_mb`` bounds resident
-    memory the same way.
-    """
-    workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
-    return make_simulator(
-        config,
-        workload,
-        policy,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-    ).run()
-
-
-def simulate_cell_traced(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-    sink: Optional[TraceHook] = None,
-):
-    """Run one cell with a full :class:`~repro.tracing.EventLog` attached.
-
-    Returns ``(result, log, workload)`` — everything offline analyses
-    (``repro trace``, ``repro certify``) need: the aggregate outcome,
-    the complete event stream, and the exact specs it was generated
-    from.  Same determinism contract as :func:`simulate_cell`.
-
-    ``sink`` substitutes a streaming trace sink (a
-    :class:`~repro.sim.stream.JsonlSink` spilling to disk, a bounded
-    :class:`~repro.sim.stream.RingSink`) for the in-memory log; the
-    returned middle element is then that sink.  Whatever was attached
-    is closed before returning, so a spilled stream is complete and
-    flushed when the caller iterates it.
-    """
-    from repro.tracing import EventLog
-
-    workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
-    log = sink if sink is not None else EventLog()
-    try:
-        result = make_simulator(
-            config,
-            workload,
-            policy,
-            trace=log,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        ).run()
-    finally:
-        close = getattr(log, "close", None)
-        if close is not None:
-            close()
-    return result, log, workload
-
-
-def simulate_cell_observed(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-    profile: Optional[SpanProfiler] = None,
-) -> tuple[SimulationResult, float, dict]:
-    """Run one cell with a private metrics registry attached.
-
-    Returns ``(result, wall_ms, counter_deltas)`` where
-    ``counter_deltas`` is the cell's registry snapshot — the per-cell
-    delta a worker process ships back for the parent to merge.  Apart
-    from wall time (the ``prof.stage_ms`` stage histograms and the
-    cell's own wall clock) the deltas are deterministic in the cell
-    (simulated time only), which is what makes parallel manifest
-    counters equal serial ones.
-
-    Observed cells run with kernel introspection on (``kernel.*``
-    counters — fusion spans, penalty-scan modes, CCA prunes; see
-    docs/OBSERVABILITY.md) and tally which engine actually ran under
-    ``sweep.engine{engine=...}``.  Both are deterministic.
-
-    ``profile`` optionally attaches a :class:`SpanProfiler`: the stage
-    intervals become spans and the engine records its internal phases
-    into the same recording (:func:`simulate_cell_profiled` is the
-    worker-facing wrapper that ships the recording back).
-    """
-    registry = MetricsRegistry()
-    started = time.perf_counter()
-    workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
-    generated = time.perf_counter()
-    observe_stage(registry, "workload_gen", (generated - started) * 1000.0)
-    simulator = make_simulator(
-        config,
-        workload,
-        policy,
-        metrics=registry,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-        profile=profile,
-        introspect=True,
-    )
-    engine = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
-    registry.counter("sweep.engine", engine=engine).inc()
-    result = simulator.run()
-    finished = time.perf_counter()
-    observe_stage(registry, "simulate", (finished - generated) * 1000.0)
-    if profile is not None:
-        cell_args = {"policy": policy_name, "seed": seed, "engine": engine}
-        profile.add_span(
-            "cell.workload_gen", "stage", started, generated, {"n": len(workload)}
-        )
-        profile.add_span("cell.simulate", "stage", generated, finished, cell_args)
-    return result, (finished - started) * 1000.0, registry.snapshot()
-
-
-def simulate_cell_profiled(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-) -> tuple[SimulationResult, float, dict, dict]:
-    """Run one cell observed *and* span-profiled.
-
-    Returns ``(result, wall_ms, counter_deltas, prof_state)`` — the
-    observed payload plus this worker's profiler recording
-    (:meth:`SpanProfiler.export_state`), which the parent folds into
-    its own profiler in cell-key order.
-    """
-    prof = SpanProfiler()
-    result, wall_ms, deltas = simulate_cell_observed(
-        config,
-        seed,
-        policy_name,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-        profile=prof,
-    )
-    return result, wall_ms, deltas, prof.export_state()
-
-
 def _worker_entry(
     config: SimulationConfig,
     seed: int,
     policy_name: str,
     attempt: int,
-    observed: bool,
-    profiled: bool,
+    observe: bool,
+    profile: bool,
     max_wall_s: Optional[float],
     max_memory_mb: Optional[float] = None,
     fallback: Optional[FallbackPolicy] = None,
-):
-    """Pool/serial worker entry: fault injection, then the simulation.
+) -> CellOutcome | str:
+    """Pool/serial worker entry: fault injection, then the cell runner.
 
     With ``fallback`` set the cell runs through the guarded runner
-    (kernel failures heal onto the reference engine, wrapped in a
-    :class:`CellEnvelope`); the default path is untouched — one
-    ``is not None`` check.
+    (kernel failures heal onto the reference engine); the default path
+    is untouched — one ``is not None`` check.
     """
     if fallback is not None:
         return run_cell_guarded(
@@ -435,8 +273,8 @@ def _worker_entry(
             seed,
             policy_name,
             attempt,
-            observed=observed,
-            profiled=profiled,
+            observe=observe,
+            profile=profile,
             max_wall_s=max_wall_s,
             max_memory_mb=max_memory_mb,
             fallback=fallback,
@@ -445,67 +283,54 @@ def _worker_entry(
         injected = faults.maybe_inject(cache_key(config, seed, policy_name), attempt)
         if injected is not None:
             return injected  # CORRUPT_PAYLOAD passes through as-is
-    if profiled:
-        return simulate_cell_profiled(
-            config, seed, policy_name,
-            max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
-        )
-    if observed:
-        return simulate_cell_observed(
-            config, seed, policy_name,
-            max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
-        )
     return simulate_cell(
-        config, seed, policy_name,
-        max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
+        config,
+        seed,
+        policy_name,
+        observe=observe,
+        profile=profile,
+        max_wall_s=max_wall_s,
+        max_memory_mb=max_memory_mb,
     )
 
 
-def _unwrap(raw) -> tuple[object, Optional[dict]]:
-    """Split a worker payload into (outcome, fallback record).
+def _dict_iff(value: object, wanted: bool) -> bool:
+    """A payload field is a dict when ``wanted`` and ``None`` otherwise."""
+    return isinstance(value, dict) if wanted else value is None
 
-    Guarded workers ship :class:`CellEnvelope`; plain workers ship the
-    bare outcome.  Anything else — including a corrupt payload inside
-    an envelope — flows on to ``_validate_outcome`` unchanged.
+
+def _validate_outcome(
+    cell: SweepCell, outcome: object, observed: bool, profiled: bool
+) -> CellOutcome:
+    """Reject corrupt worker payloads (wrong type, wrong shape, wrong cell).
+
+    A valid payload is a :class:`CellOutcome` holding a
+    :class:`SimulationResult` for the cell's policy, with ``deltas``
+    present iff the cell ran observed (profiling implies observing) and
+    ``prof_state`` present iff it ran profiled.  Raises
+    :class:`CorruptResultError`, which the retry machinery treats like
+    any other per-cell failure.
     """
-    if isinstance(raw, CellEnvelope):
-        return raw.outcome, raw.fallback
-    return raw, None
-
-
-def _validate_outcome(cell: SweepCell, outcome, observed: bool, profiled: bool):
-    """Reject corrupt worker payloads (wrong shape, wrong cell).
-
-    Raises :class:`CorruptResultError`, which the retry machinery treats
-    like any other per-cell failure.
-    """
-    if observed or profiled:
-        width = 4 if profiled else 3
-        if (
-            not isinstance(outcome, tuple)
-            or len(outcome) != width
-            or not isinstance(outcome[0], SimulationResult)
-            or not isinstance(outcome[1], (int, float))
-            or not isinstance(outcome[2], dict)
-            or (profiled and not isinstance(outcome[3], dict))
-        ):
-            raise CorruptResultError(
-                f"cell {cell.key}: malformed "
-                f"{'profiled' if profiled else 'observed'} payload "
-                f"({type(outcome).__name__})"
-            )
-        result = outcome[0]
-    else:
-        if not isinstance(outcome, SimulationResult):
-            raise CorruptResultError(
-                f"cell {cell.key}: payload is {type(outcome).__name__}, "
-                f"not a SimulationResult"
-            )
-        result = outcome
-    if result.policy_name != cell.policy:
+    if not isinstance(outcome, CellOutcome):
+        raise CorruptResultError(
+            f"cell {cell.key}: payload is {type(outcome).__name__}, "
+            f"not a CellOutcome"
+        )
+    if (
+        not isinstance(outcome.result, SimulationResult)
+        or not isinstance(outcome.wall_ms, (int, float))
+        or not _dict_iff(outcome.deltas, observed or profiled)
+        or not _dict_iff(outcome.prof_state, profiled)
+        or not (outcome.fallback is None or isinstance(outcome.fallback, dict))
+    ):
+        raise CorruptResultError(
+            f"cell {cell.key}: malformed payload (observed={observed}, "
+            f"profiled={profiled})"
+        )
+    if outcome.result.policy_name != cell.policy:
         raise CorruptResultError(
             f"cell {cell.key}: result claims policy "
-            f"{result.policy_name!r}, expected {cell.policy!r}"
+            f"{outcome.result.policy_name!r}, expected {cell.policy!r}"
         )
     return outcome
 
@@ -775,25 +600,26 @@ class _SweepRunner:
         for cell in cells:
             self.attempts[cell.key] += 1
             try:
-                raw = _worker_entry(
-                    cell.config,
-                    cell.seed,
-                    cell.policy,
-                    self.attempts[cell.key],
+                outcome = _validate_outcome(
+                    cell,
+                    _worker_entry(
+                        cell.config,
+                        cell.seed,
+                        cell.policy,
+                        self.attempts[cell.key],
+                        self.observed,
+                        self.profiled,
+                        self.retry.timeout,
+                        self.retry.memory_mb,
+                        self.fallback,
+                    ),
                     self.observed,
                     self.profiled,
-                    self.retry.timeout,
-                    self.retry.memory_mb,
-                    self.fallback,
-                )
-                outcome, fb_record = _unwrap(raw)
-                outcome = _validate_outcome(
-                    cell, outcome, self.observed, self.profiled
                 )
             except Exception as exc:
                 self._attempt_failed(cell, exc, retry_next)
             else:
-                self._complete(cell, outcome, fb_record)
+                self._complete(cell, outcome)
         return retry_next
 
     def _pool_round(self, cells: Sequence[SweepCell]) -> list[SweepCell]:
@@ -829,11 +655,11 @@ class _SweepRunner:
                     continue
                 future = futures[cell.key]
                 try:
-                    outcome, fb_record = _unwrap(
-                        future.result(timeout=self.retry.timeout)
-                    )
                     outcome = _validate_outcome(
-                        cell, outcome, self.observed, self.profiled
+                        cell,
+                        future.result(timeout=self.retry.timeout),
+                        self.observed,
+                        self.profiled,
                     )
                 except (_FuturesTimeout, TimeoutError) as exc:
                     # The hung worker keeps its slot until it finishes;
@@ -852,7 +678,7 @@ class _SweepRunner:
                     self._attempt_failed(cell, exc, retry_next)
                 else:
                     processed.add(cell.key)
-                    self._complete(cell, outcome, fb_record)
+                    self._complete(cell, outcome)
         except BaseException:
             # Abort (KeyboardInterrupt, SweepError under on_error=fail):
             # checkpoint whatever already finished, then cancel the rest.
@@ -872,13 +698,11 @@ class _SweepRunner:
 
     # -- per-cell outcomes -------------------------------------------------
 
-    def _complete(
-        self, cell: SweepCell, outcome, fb_record: Optional[dict] = None
-    ) -> None:
-        if fb_record is not None:
+    def _complete(self, cell: SweepCell, outcome: CellOutcome) -> None:
+        if outcome.fallback is not None:
             record = {
                 "cell": {"x": cell.x, "policy": cell.policy, "seed": cell.seed},
-                **fb_record,
+                **outcome.fallback,
             }
             self.stats.engine_fallbacks.append(record)
             if self.trace is not None:
@@ -887,28 +711,22 @@ class _SweepRunner:
                     x=cell.x,
                     policy=cell.policy,
                     seed=cell.seed,
-                    error=fb_record.get("exception"),
+                    error=outcome.fallback.get("exception"),
                 )
         prof = self.profile
-        prof_state: Optional[dict] = None
-        if self.profiled:
-            result, wall_ms, deltas, prof_state = outcome
-        elif self.observed:
-            result, wall_ms, deltas = outcome
-        else:
-            result, wall_ms, deltas = outcome, 0.0, None
-        if deltas is not None and self.metrics is not None:
+        result = outcome.result
+        if outcome.deltas is not None and self.metrics is not None:
             t0 = time.perf_counter()
-            self.metrics.merge_snapshot(deltas)
-            self.metrics.histogram("sweep.cell_wall_ms").observe(wall_ms)
+            self.metrics.merge_snapshot(outcome.deltas)
+            self.metrics.histogram("sweep.cell_wall_ms").observe(outcome.wall_ms)
             merge_s = time.perf_counter() - t0
             observe_stage(self.metrics, "merge", merge_s * 1000.0)
             if prof is not None:
                 prof.timer("sweep.merge", "stage").add(merge_s)
-        if prof is not None and prof_state is not None:
+        if prof is not None and outcome.prof_state is not None:
             # Called in cell-key order within each round, so the merged
             # recording's structure is worker-count-independent.
-            prof.extend(prof_state)
+            prof.extend(outcome.prof_state)
         self.results[cell.key] = result
         self.stats.cells_run += 1
         if cell.key in self.failures:
@@ -981,14 +799,13 @@ class _SweepRunner:
             ):
                 continue
             try:
-                outcome, fb_record = _unwrap(future.result())
                 outcome = _validate_outcome(
-                    cell, outcome, self.observed, self.profiled
+                    cell, future.result(), self.observed, self.profiled
                 )
             except Exception:
                 continue
             processed.add(cell.key)
-            self._complete(cell, outcome, fb_record)
+            self._complete(cell, outcome)
 
     # -- pool management ---------------------------------------------------
 

@@ -38,6 +38,7 @@ from typing import Any, Optional
 from repro.config import SimulationConfig
 from repro.experiments import faults
 from repro.experiments.cache import cache_key
+from repro.experiments.cell import CellOutcome, simulate_cell
 from repro.sim.engine import BudgetExceeded
 from repro.sim.stream import RingSink
 
@@ -68,19 +69,6 @@ class FallbackPolicy:
             )
 
 
-@dataclasses.dataclass
-class CellEnvelope:
-    """A guarded worker's payload: the outcome plus fallback metadata.
-
-    ``fallback`` is ``None`` for cells that ran clean; otherwise the
-    ``engine_fallback`` record destined for sweep stats and the run
-    manifest (minus the ``cell`` coordinates, which the parent adds).
-    """
-
-    outcome: Any
-    fallback: Optional[dict] = None
-
-
 def kernel_eligible(config: SimulationConfig) -> bool:
     """Whether this cell *could* have run on the kernel engine.
 
@@ -101,7 +89,7 @@ def replay_kernel(
     trace: Any = None,
     max_wall_s: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
-):
+) -> CellOutcome:
     """Re-run one cell exactly as the failing worker attempt did.
 
     Fires the cell's scheduled ``kernel`` fault (and only that kind —
@@ -111,25 +99,19 @@ def replay_kernel(
     what makes quarantine capture and ``repro replay`` agree
     bit-for-bit.
     """
-    from repro.core.factory import make_simulator
-    from repro.core.policy import make_policy
-    from repro.workload.generator import generate_workload
-
     plan = faults.active_plan()
     if plan is not None:
         key = cache_key(config, seed, policy_name)
         if plan.decide(key, attempt) == "kernel":
             faults.inject_kernel_fault(key, attempt)
-    workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
-    return make_simulator(
+    return simulate_cell(
         config,
-        workload,
-        policy,
+        seed,
+        policy_name,
         trace=trace,
         max_wall_s=max_wall_s,
         max_memory_mb=max_memory_mb,
-    ).run()
+    )
 
 
 def run_cell_guarded(
@@ -138,20 +120,20 @@ def run_cell_guarded(
     policy_name: str,
     attempt: int,
     *,
-    observed: bool,
-    profiled: bool,
+    observe: bool,
+    profile: bool,
     max_wall_s: Optional[float],
     max_memory_mb: Optional[float],
     fallback: FallbackPolicy,
-) -> CellEnvelope:
+) -> CellOutcome | str:
     """The guarded worker entry: simulate, healing kernel failures.
 
     Non-``kernel`` injected faults fire exactly as on the unguarded
     path (they model *worker* failures — the healing scope must not
     swallow them); the ``kernel`` kind fires inside the scope, standing
-    in for a real engine defect.  Returns a :class:`CellEnvelope`; a
-    corrupt payload passes through bare for the executor's validation
-    to reject, exactly as before.
+    in for a real engine defect.  A healed cell's :class:`CellOutcome`
+    carries its ``fallback`` record; a corrupt payload passes through
+    as-is for the executor's validation to reject.
     """
     key = cache_key(config, seed, policy_name)
     plan = faults.active_plan()
@@ -159,20 +141,18 @@ def run_cell_guarded(
     if scheduled is not None and scheduled != "kernel":
         injected = faults.maybe_inject(key, attempt)
         if injected is not None:
-            return CellEnvelope(injected)  # CORRUPT_PAYLOAD, wrapped
+            return injected  # CORRUPT_PAYLOAD
     try:
         if scheduled == "kernel":
             faults.inject_kernel_fault(key, attempt)
-        return CellEnvelope(
-            _simulate(
-                config,
-                seed,
-                policy_name,
-                observed=observed,
-                profiled=profiled,
-                max_wall_s=max_wall_s,
-                max_memory_mb=max_memory_mb,
-            )
+        return simulate_cell(
+            config,
+            seed,
+            policy_name,
+            observe=observe,
+            profile=profile,
+            max_wall_s=max_wall_s,
+            max_memory_mb=max_memory_mb,
         )
     except BudgetExceeded:
         # A budget blown on the fast engine is blown worse on the slow
@@ -189,48 +169,12 @@ def run_cell_guarded(
             policy_name,
             attempt,
             exc,
-            observed=observed,
-            profiled=profiled,
+            observe=observe,
+            profile=profile,
             max_wall_s=max_wall_s,
             max_memory_mb=max_memory_mb,
             fallback=fallback,
         )
-
-
-def _simulate(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    observed: bool,
-    profiled: bool,
-    max_wall_s: Optional[float],
-    max_memory_mb: Optional[float],
-):
-    """Dispatch to the right ``simulate_cell*`` flavour (late import —
-    :mod:`repro.experiments.parallel` imports this module)."""
-    from repro.experiments import parallel
-
-    if profiled:
-        return parallel.simulate_cell_profiled(
-            config,
-            seed,
-            policy_name,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        )
-    if observed:
-        return parallel.simulate_cell_observed(
-            config,
-            seed,
-            policy_name,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        )
-    return parallel.simulate_cell(
-        config, seed, policy_name, max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-    )
 
 
 def _heal(
@@ -240,12 +184,12 @@ def _heal(
     attempt: int,
     exc: Exception,
     *,
-    observed: bool,
-    profiled: bool,
+    observe: bool,
+    profile: bool,
     max_wall_s: Optional[float],
     max_memory_mb: Optional[float],
     fallback: FallbackPolicy,
-) -> CellEnvelope:
+) -> CellOutcome:
     """Quarantine the failure, then re-run on the sanitized reference
     engine.  If the reference re-run *also* fails, its exception
     propagates — the defect was never kernel-specific."""
@@ -266,13 +210,12 @@ def _heal(
         # Quarantine is best-effort diagnostics: an unwritable results
         # dir must never turn a healable cell into a failed one.
         bundle_path = None
-    healed = config.replace(engine="reference", sanitize=True)
-    outcome = _simulate(
-        healed,
+    outcome = simulate_cell(
+        config.replace(engine="reference", sanitize=True),
         seed,
         policy_name,
-        observed=observed,
-        profiled=profiled,
+        observe=observe,
+        profile=profile,
         max_wall_s=max_wall_s,
         max_memory_mb=max_memory_mb,
     )
@@ -285,7 +228,7 @@ def _heal(
         "bundle": bundle_path,
         "reproduced": reproduced,
     }
-    return CellEnvelope(outcome, record)
+    return dataclasses.replace(outcome, fallback=record)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ rate, database size, penalty weight, ...).
 
 All three entry points route through
 :mod:`repro.experiments.parallel`: every (x, policy, seed) cell is an
-independent unit of work, fanned out over ``jobs`` worker processes and
-optionally served from / stored to an on-disk
-:class:`~repro.experiments.cache.ResultCache`.  Workload generation is
-deterministic in ``(config, seed)``, so regenerating a seed's workload
-per cell preserves the paired-comparison semantics, and results are
-merged in cell-key order — parallel output is identical to serial
-output for the same seeds (proven by
+independent unit of work, run by the one cell runner
+(:func:`~repro.experiments.cell.simulate_cell`), fanned out over
+``jobs`` worker processes and optionally served from / stored to an
+on-disk :class:`~repro.experiments.cache.ResultCache`.  Workload
+generation is deterministic in ``(config, seed)``, so regenerating a
+seed's workload per cell preserves the paired-comparison semantics, and
+results are merged in cell-key order — parallel output is identical to
+serial output for the same seeds (proven by
 ``tests/experiments/test_parallel.py``).
 """
 
@@ -34,8 +35,6 @@ from repro.experiments.parallel import (
     TraceHook,
     cells_for_sweep,
     execute_cells,
-    simulate_cell,
-    simulate_cell_traced,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.metrics.summary import RunSummary, summarize
@@ -184,7 +183,5 @@ __all__ = [
     "compare_policies",
     "policy_factory",
     "run_policy",
-    "simulate_cell",
-    "simulate_cell_traced",
     "sweep",
 ]

@@ -13,9 +13,11 @@ import pytest
 
 from repro.certify.certifier import certify_events
 from repro.certify.runner import certify_cell, default_cells, stream_path_for
+from repro.experiments.cell import simulate_cell
 from repro.experiments.config import ExperimentScale
-from repro.experiments.parallel import simulate_cell_traced
 from repro.sim.stream import JsonlSink, iter_jsonl
+from repro.tracing import EventLog
+from repro.workload.generator import generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -59,32 +61,35 @@ class TestStreamedCertifyParity:
 
     def test_sink_stream_equals_event_log(self, sample_cell, tmp_path):
         """Byte-level: the sink's records ARE the EventLog's records."""
-        _, log, _ = simulate_cell_traced(
-            sample_cell.config, sample_cell.seed, sample_cell.policy
+        log = EventLog()
+        simulate_cell(
+            sample_cell.config, sample_cell.seed, sample_cell.policy, trace=log
         )
         path = tmp_path / "cell.jsonl"
         with JsonlSink(path) as sink:
-            _, returned, _ = simulate_cell_traced(
+            simulate_cell(
                 sample_cell.config,
                 sample_cell.seed,
                 sample_cell.policy,
-                sink=sink,
+                trace=sink,
             )
-            assert returned is sink
+            assert sink.events_written == len(log)
         assert list(iter_jsonl(path)) == log.events
 
     def test_write_read_certify_round_trip(self, sample_cell, tmp_path):
         """write -> read -> certify: the satellite's full loop."""
-        result, log, workload = simulate_cell_traced(
-            sample_cell.config, sample_cell.seed, sample_cell.policy
+        log = EventLog()
+        simulate_cell(
+            sample_cell.config, sample_cell.seed, sample_cell.policy, trace=log
         )
+        workload = generate_workload(sample_cell.config, sample_cell.seed)
         path = tmp_path / "cell.jsonl"
         with JsonlSink(path) as sink:
-            simulate_cell_traced(
+            simulate_cell(
                 sample_cell.config,
                 sample_cell.seed,
                 sample_cell.policy,
-                sink=sink,
+                trace=sink,
             )
         direct = certify_events(
             log.events,

@@ -22,7 +22,7 @@ from repro.experiments.cache import (
     result_from_dict,
     result_to_dict,
 )
-from repro.experiments.parallel import simulate_cell
+from repro.experiments.cell import simulate_cell
 
 BASE = SimulationConfig()
 
@@ -88,7 +88,7 @@ def small_config(mm_config):
 
 @pytest.fixture
 def result(small_config):
-    return simulate_cell(small_config, seed=3, policy_name="CCA")
+    return simulate_cell(small_config, seed=3, policy_name="CCA").result
 
 
 class TestSerialization:

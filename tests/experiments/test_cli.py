@@ -300,6 +300,8 @@ class TestTrace:
         assert "event" in out and "count" in out
         assert "sim.commits" in out
         assert "policy=EDF-HP" in out
+        # The trace runs the engine the sweep runs (kernel under auto).
+        assert "sweep.engine{engine=kernel}" in out
 
     def test_trace_selects_requested_cell(self, capsys):
         assert main(

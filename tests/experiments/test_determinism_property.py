@@ -4,7 +4,7 @@ The whole parallel/caching subsystem rests on one invariant: a sweep
 cell's result depends only on its inputs — no hidden global RNG state,
 no import-order effects, no per-process drift.  Hypothesis drives random
 small configurations through :func:`repro.experiments.runner.run_policy`
-and :func:`repro.experiments.parallel.simulate_cell` and requires
+and :func:`repro.experiments.cell.simulate_cell` and requires
 bit-identical results
 
 * across two invocations in the same process, and
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
-from repro.experiments.parallel import simulate_cell
+from repro.experiments.cell import simulate_cell
 from repro.experiments.runner import run_policy
 
 _POOL: Optional[ProcessPoolExecutor] = None

@@ -81,3 +81,44 @@ class TestSlackSensitivity:
 
     def test_registered(self):
         assert "ext-slack" in EXTENSION_EXPERIMENTS
+
+
+class TestAbortWaitSpectrum:
+    def test_series_match_reference_hand_loop(self):
+        """ext-wp runs through the shared sweep pipeline (cache, jobs,
+        kernel); its series equal a hand loop on the reference engine
+        replaying each seed's workload under all four policies."""
+        from repro.core.policy import (
+            CCAPolicy,
+            EDFPolicy,
+            EDFWaitPolicy,
+            EDFWPPolicy,
+        )
+        from repro.core.simulator import RTDBSimulator
+        from repro.experiments.config import MAIN_MEMORY_BASE
+        from repro.experiments.extensions import ext_abort_wait_spectrum
+        from repro.metrics.summary import summarize
+        from repro.workload.generator import generate_workload
+
+        factories = {
+            "EDF-HP": EDFPolicy,
+            "EDF-WP": EDFWPPolicy,
+            "EDF-Wait": EDFWaitPolicy,
+            "CCA": lambda: CCAPolicy(1.0),
+        }
+        base = TINY.scale_config(MAIN_MEMORY_BASE)
+        expected: dict = {name: [] for name in factories}
+        for rate in (6.0, 8.0, 10.0):
+            config = base.replace(arrival_rate=rate)
+            runs: dict = {name: [] for name in factories}
+            for seed in TINY.seeds_for(base):
+                workload = generate_workload(config, seed)
+                for name, factory in factories.items():
+                    runs[name].append(
+                        RTDBSimulator(config, workload, factory()).run()
+                    )
+            for name, results in runs.items():
+                expected[name].append(
+                    (rate, summarize(results).miss_percent.mean)
+                )
+        assert ext_abort_wait_spectrum(TINY).series == expected

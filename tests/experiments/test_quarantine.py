@@ -19,17 +19,16 @@ import pytest
 from repro.experiments import faults, parallel
 from repro.experiments.cache import cache_key
 from repro.experiments.faults import FaultPlan, InjectedKernelFault
+from repro.experiments.cell import CellOutcome, simulate_cell
 from repro.experiments.parallel import (
     RetryPolicy,
     cells_for_sweep,
     execute_cells,
     last_stats,
-    simulate_cell,
 )
 from repro.experiments.quarantine import (
     BUNDLE_KIND,
     BUNDLE_SCHEMA,
-    CellEnvelope,
     FallbackPolicy,
     bundle_dir_for,
     config_from_dict,
@@ -39,6 +38,8 @@ from repro.experiments.quarantine import (
     run_cell_guarded,
     write_bundle,
 )
+from repro.obs.prof import SpanProfiler
+from repro.obs.registry import MetricsRegistry
 from repro.sim import engine as sim_engine
 from repro.sim.engine import MemoryBudgetExceeded
 
@@ -92,26 +93,28 @@ class TestEligibility:
 
 
 class TestGuardedRunner:
-    def test_clean_cell_returns_bare_envelope(self, tiny_config, tmp_path):
-        envelope = run_cell_guarded(
+    def test_clean_cell_returns_outcome_without_fallback(
+        self, tiny_config, tmp_path
+    ):
+        outcome = run_cell_guarded(
             tiny_config, 1, "CCA", 1,
-            observed=False, profiled=False,
+            observe=False, profile=False,
             max_wall_s=None, max_memory_mb=None,
             fallback=FallbackPolicy(quarantine_dir=str(tmp_path)),
         )
-        assert isinstance(envelope, CellEnvelope)
-        assert envelope.fallback is None
-        assert envelope.outcome == simulate_cell(tiny_config, 1, "CCA")
+        assert isinstance(outcome, CellOutcome)
+        assert outcome.fallback is None
+        assert outcome.result == simulate_cell(tiny_config, 1, "CCA").result
 
     def test_kernel_fault_heals_to_reference_result(self, tiny_config, tmp_path):
         faults.install(kernel_plan_for(tiny_config, 1, "CCA"))
-        envelope = run_cell_guarded(
+        outcome = run_cell_guarded(
             tiny_config, 1, "CCA", 1,
-            observed=False, profiled=False,
+            observe=False, profile=False,
             max_wall_s=None, max_memory_mb=None,
             fallback=FallbackPolicy(quarantine_dir=str(tmp_path)),
         )
-        record = envelope.fallback
+        record = outcome.fallback
         assert record is not None
         assert record["exception"] == "InjectedKernelFault"
         assert record["engine"] == "reference"
@@ -121,8 +124,8 @@ class TestGuardedRunner:
         faults.install(None)
         clean = simulate_cell(
             tiny_config.replace(engine="reference"), 1, "CCA"
-        )
-        assert envelope.outcome == clean
+        ).result
+        assert outcome.result == clean
 
     def test_reference_cell_failure_propagates(self, tiny_config, tmp_path):
         reference = tiny_config.replace(engine="reference")
@@ -130,7 +133,7 @@ class TestGuardedRunner:
         with pytest.raises(InjectedKernelFault):
             run_cell_guarded(
                 reference, 1, "CCA", 1,
-                observed=False, profiled=False,
+                observe=False, profile=False,
                 max_wall_s=None, max_memory_mb=None,
                 fallback=FallbackPolicy(quarantine_dir=str(tmp_path)),
             )
@@ -142,7 +145,7 @@ class TestGuardedRunner:
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             run_cell_guarded(
                 tiny_config, 1, "CCA", 1,
-                observed=False, profiled=False,
+                observe=False, profile=False,
                 max_wall_s=None, max_memory_mb=1.0,
                 fallback=FallbackPolicy(quarantine_dir=str(tmp_path)),
             )
@@ -153,14 +156,14 @@ class TestGuardedRunner:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("in the way")
         faults.install(kernel_plan_for(tiny_config, 1, "CCA"))
-        envelope = run_cell_guarded(
+        outcome = run_cell_guarded(
             tiny_config, 1, "CCA", 1,
-            observed=False, profiled=False,
+            observe=False, profile=False,
             max_wall_s=None, max_memory_mb=None,
             fallback=FallbackPolicy(quarantine_dir=str(blocker)),
         )
-        assert envelope.fallback is not None
-        assert envelope.fallback["bundle"] is None
+        assert outcome.fallback is not None
+        assert outcome.fallback["bundle"] is None
 
 
 class TestBundles:
@@ -297,6 +300,131 @@ class TestSweepFallbacks:
                 "cell", "exception", "engine", "sanitized", "bundle",
             }
             assert record["engine"] == "reference"
+
+
+def plan_hitting_kinds(cells, **rates) -> FaultPlan:
+    """A retry-transient plan whose first attempts hit every kind in
+    ``rates`` at least once across ``cells``."""
+    for plan_seed in range(500):
+        plan = FaultPlan(seed=plan_seed, max_failures=1, **rates)
+        kinds = {
+            plan.decide(cache_key(c.config, c.seed, c.policy), 1) for c in cells
+        }
+        if kinds >= set(rates):
+            return plan
+    raise AssertionError(f"no plan seed hits every kind of {sorted(rates)}")
+
+
+def deterministic_part(snapshot: dict) -> dict:
+    """A registry snapshot minus its wall-clock series."""
+    return {
+        "counters": snapshot["counters"],
+        "histograms": {
+            key: data
+            for key, data in snapshot["histograms"].items()
+            if key != "sweep.cell_wall_ms" and not key.startswith("prof.")
+        },
+    }
+
+
+class TestRunnerMatrix:
+    """Every executor mode through the one cell runner and one payload:
+    {plain, observed, profiled} x {no fallback, healed kernel faults}
+    x jobs {1, 2}, each under injected corrupt payloads."""
+
+    @pytest.mark.parametrize("mode", ["plain", "observed", "profiled"])
+    @pytest.mark.parametrize("healing", [False, True], ids=["clean", "healed"])
+    def test_matrix(self, cells, tmp_path, mode, healing):
+        reference_cells = [
+            dataclasses.replace(c, config=c.config.replace(engine="reference"))
+            for c in cells
+        ]
+        baseline = execute_cells(reference_cells, jobs=1)
+        rates = {"corrupt": 0.3, "kernel": 0.3} if healing else {"corrupt": 0.3}
+        plan = plan_hitting_kinds(cells, **rates)
+        decided = {
+            c.key: plan.decide(cache_key(c.config, c.seed, c.policy), 1)
+            for c in cells
+        }
+        fallback = (
+            FallbackPolicy(quarantine_dir=str(tmp_path)) if healing else None
+        )
+        runs = {}
+        for jobs in (1, 2):
+            metrics = MetricsRegistry() if mode != "plain" else None
+            prof = SpanProfiler() if mode == "profiled" else None
+            faults.install(plan)
+            results = execute_cells(
+                cells,
+                jobs=jobs,
+                metrics=metrics,
+                profile=prof,
+                fallback=fallback,
+                retry=RetryPolicy(on_error="retry", max_attempts=2),
+            )
+            faults.install(None)
+            runs[jobs] = (results, last_stats(), metrics, prof)
+
+        for results, stats, metrics, prof in runs.values():
+            assert results == baseline  # bit-identical to all-reference
+            # Corrupt payloads are rejected (then retried) in every mode.
+            assert [f.key for f in stats.failures] == sorted(
+                key for key, kind in decided.items() if kind == "corrupt"
+            )
+            assert all(f.exception == "CorruptResultError" for f in stats.failures)
+            assert all(f.recovered for f in stats.failures)
+            assert [
+                (r["cell"]["x"], r["cell"]["policy"], r["cell"]["seed"])
+                for r in stats.engine_fallbacks
+            ] == sorted(key for key, kind in decided.items() if kind == "kernel")
+            if prof is not None:
+                # One cell span per computed cell: profiled payloads
+                # carried their recordings back.
+                simulated = [s for s in prof.spans if s[1] == "cell.simulate"]
+                assert len(simulated) == len(cells)
+                assert sum(
+                    s[5]["engine"] == "reference" for s in simulated
+                ) == len(stats.engine_fallbacks)
+        (_, serial, serial_metrics, _), (_, pooled, pooled_metrics, _) = (
+            runs[1],
+            runs[2],
+        )
+        assert serial.failures == pooled.failures
+        assert serial.engine_fallbacks == pooled.engine_fallbacks
+        if mode != "plain":
+            assert deterministic_part(serial_metrics.snapshot()) == (
+                deterministic_part(pooled_metrics.snapshot())
+            )
+
+    @pytest.mark.parametrize(
+        "observed, profiled, payload",
+        [
+            (False, False, "__repro_corrupt_payload__"),
+            (False, False, CellOutcome(None)),
+            (False, False, "deltas"),
+            (True, False, "no-deltas"),
+            (False, True, "no-prof-state"),
+            (False, False, "bad-fallback"),
+        ],
+    )
+    def test_malformed_payloads_rejected(
+        self, tiny_config, observed, profiled, payload
+    ):
+        cell = cells_for_sweep({1.0: tiny_config}, (1,), ("CCA",))[0]
+        good = simulate_cell(
+            tiny_config, 1, "CCA", observe=observed, profile=profiled
+        )
+        shaped = {
+            "deltas": dataclasses.replace(good, deltas={}),
+            "no-deltas": dataclasses.replace(good, deltas=None),
+            "no-prof-state": dataclasses.replace(good, prof_state=None),
+            "bad-fallback": dataclasses.replace(good, fallback="oops"),
+        }
+        assert parallel._validate_outcome(cell, good, observed, profiled) is good
+        with pytest.raises(parallel.CorruptResultError):
+            parallel._validate_outcome(
+                cell, shaped.get(payload, payload), observed, profiled
+            )
 
 
 class TestFailureProgress:
