@@ -415,11 +415,17 @@ class KernelSimulator:
         self._plist_slotmask = 0
         self._dispatching = False
         self._redispatch = False
-        self._phase = PH_COMPUTE
-        self._phase_start = 0.0
-        self._phase_duration = 0.0
-        self._service_active = False
-        self._service_token = 0
+        # -- service phases, per slot ----------------------------------------
+        # A phase is in flight on a slot while its token is nonzero.  Each
+        # phase event carries the token it was scheduled with; preemption
+        # zeroes the slot's token, so the event loop drops the stale event
+        # when it surfaces.  Per-slot tokens let several phases be in
+        # flight at once (one per CPU, see repro.mp.simulator).
+        self._phase_token = [0] * n
+        self._phase_kind = [PH_COMPUTE] * n
+        self._phase_start = [0.0] * n
+        self._phase_duration = [0.0] * n
+        self._token_seq = 0
         self._frozen: dict[tuple[int, int], tuple] = {}
         # EDF and FCFS priorities depend only on immutable spec fields,
         # so their full selection / wound keys can be precomputed per
@@ -691,6 +697,7 @@ class KernelSimulator:
     def _event_loop(self) -> None:
         heap = self._heap
         timers = self._ev_timers
+        phase_token = self._phase_token
         max_events = self.max_events
         deadline: Optional[float] = None
         if self.max_wall_s is not None:
@@ -704,9 +711,7 @@ class KernelSimulator:
             # Lazily drop cancelled service-phase events (stale tokens),
             # exactly as the calendar's pop skips cancelled entries.
             head = heap[0]
-            if head[2] == EV_PHASE and not (
-                self._service_active and head[4] == self._service_token
-            ):
+            if head[2] == EV_PHASE and head[4] != phase_token[head[3]]:
                 heappop(heap)
                 continue
             # _fired counts logical event boundaries: fused spans credit
@@ -976,18 +981,15 @@ class KernelSimulator:
             service = self._service
             slot_data = self._masks.data[slot]
             slot_write = self._masks.write[slot]
-            running = (
-                self.running
-                if self._service_active and self._phase == PH_COMPUTE
-                else -1
-            )
+            phase_token = self._phase_token
+            phase_kind = self._phase_kind
             for victim in plist:
                 if victim == slot:
                     continue
                 if aw_mask[victim] & slot_data or acc_mask[victim] & slot_write:
                     effective = service[victim]
-                    if victim == running:
-                        effective += self.now - self._phase_start
+                    if phase_token[victim] and phase_kind[victim] == PH_COMPUTE:
+                        effective += self.now - self._phase_start[victim]
                     total += effective  # repro: allow[DET005] -- plist insertion order is deterministic
                     if include_rollback:
                         total += (  # repro: allow[DET005] -- plist insertion order is deterministic
@@ -1014,13 +1016,10 @@ class KernelSimulator:
         return total
 
     def _effective_service(self, slot: int) -> float:
+        """Service received, counting an in-flight compute phase."""
         service = self._service[slot]
-        if (
-            slot == self.running
-            and self._service_active
-            and self._phase == PH_COMPUTE
-        ):
-            service += self.now - self._phase_start
+        if self._phase_token[slot] and self._phase_kind[slot] == PH_COMPUTE:
+            service += self.now - self._phase_start[slot]
         return service
 
     def _rollback_time(self, slot: int) -> float:
@@ -1043,19 +1042,23 @@ class KernelSimulator:
     def _on_phase_complete(self, slot: int) -> None:
         if slot != self.running:
             raise RuntimeError("service completion for a non-running transaction")
-        self._service_active = False
         if self._fused_ops:
             # Credit the boundaries this span absorbed (event-count and
             # budget parity with per-boundary execution).
             self._fired += self._fused_ops
             self._fused_ops = 0
-        if self._phase == PH_ROLLBACK:
+        self._complete_phase(slot)
+        self._run_tx(slot)
+
+    def _complete_phase(self, slot: int) -> None:
+        """Credit ``slot``'s in-flight phase, which ran to its end."""
+        self._phase_token[slot] = 0
+        if self._phase_kind[slot] == PH_ROLLBACK:
             self._pending_rollback[slot] = 0.0
         else:
-            self._service[slot] += self._phase_duration
+            self._service[slot] += self._phase_duration[slot]
             self._remaining[slot] = 0.0
             self._op_index[slot] += 1
-        self._run_tx(slot)
 
     def _on_firm_deadline(self, slot: int) -> None:
         if slot not in self.live:
@@ -1167,9 +1170,13 @@ class KernelSimulator:
                 and self._priority_key(other) < tx_key
             ]
         for victim in victims:
-            cost = self._rollback_time(victim)
-            self._abort(victim, wounded_by=slot, cause="dispatch")
-            self._pending_rollback[slot] += cost
+            self._wound(victim, slot, "dispatch")
+
+    def _wound(self, victim: int, by: int, cause: str) -> None:
+        """High Priority: abort ``victim``; ``by`` inherits its rollback."""
+        cost = self._rollback_time(victim)
+        self._abort(victim, wounded_by=by, cause=cause)
+        self._pending_rollback[by] += cost
 
     def _choose(self) -> Optional[int]:
         state = self._state
@@ -1257,21 +1264,8 @@ class KernelSimulator:
         return best
 
     def _preempt(self, slot: int) -> None:
-        if self._service_active:
-            elapsed = self.now - self._phase_start
-            self._service_active = False
-            self._live_events -= 1  # the in-flight phase event is now stale
-            if self._phase == PH_ROLLBACK:
-                self._pending_rollback[slot] = max(
-                    0.0, self._pending_rollback[slot] - elapsed
-                )
-            else:
-                self._service[slot] += elapsed
-                self._remaining[slot] -= elapsed
-                if self._remaining[slot] <= _EPS:
-                    # The phase had in fact finished at this very instant.
-                    self._remaining[slot] = 0.0
-                    self._op_index[slot] += 1
+        if self._phase_token[slot]:
+            self._interrupt_phase(slot)
         self._cpu_stop()
         self.running = None
         self._state[slot] = S_READY
@@ -1280,10 +1274,28 @@ class KernelSimulator:
         if self._m is not None:
             self._m.preempts.inc()
 
+    def _interrupt_phase(self, slot: int) -> float:
+        """Credit the elapsed part of ``slot``'s in-flight phase; return it."""
+        elapsed = self.now - self._phase_start[slot]
+        self._phase_token[slot] = 0
+        self._live_events -= 1  # the in-flight phase event is now stale
+        if self._phase_kind[slot] == PH_ROLLBACK:
+            self._pending_rollback[slot] = max(
+                0.0, self._pending_rollback[slot] - elapsed
+            )
+        else:
+            self._service[slot] += elapsed
+            self._remaining[slot] -= elapsed
+            if self._remaining[slot] <= _EPS:
+                # The phase had in fact finished at this very instant.
+                self._remaining[slot] = 0.0
+                self._op_index[slot] += 1
+        return elapsed
+
     def _release_cpu(self, slot: int) -> None:
         if slot != self.running:
             raise RuntimeError("only the running transaction can release the CPU")
-        if self._service_active:
+        if self._phase_token[slot]:
             raise RuntimeError("CPU released with a service phase in flight")
         self._cpu_stop()
         self.running = None
@@ -1320,12 +1332,12 @@ class KernelSimulator:
     def _start_phase(self, slot: int, phase: int, duration: float) -> None:
         if duration < 0:
             raise SimulationError(f"cannot schedule with negative delay {duration}")
-        self._phase = phase
-        self._phase_start = self.now
-        self._phase_duration = duration
-        self._service_token += 1
-        self._service_active = True
-        self._push(self.now + duration, EV_PHASE, slot, self._service_token)
+        self._token_seq += 1
+        self._phase_token[slot] = self._token_seq
+        self._phase_kind[slot] = phase
+        self._phase_start[slot] = self.now
+        self._phase_duration[slot] = duration
+        self._push(self.now + duration, EV_PHASE, slot, self._token_seq)
 
     def _start_fused(self, slot: int) -> None:
         """Schedule the current compute phase, fusing operations into it.
@@ -1559,13 +1571,13 @@ class KernelSimulator:
             if aidx > aidx0:
                 ik.fusion_crossings.inc(aidx - aidx0)
         self._remaining[slot] = remaining
-        self._phase = PH_COMPUTE
-        self._phase_start = start
-        self._phase_duration = remaining
-        self._service_token += 1
-        self._service_active = True
+        self._token_seq += 1
+        self._phase_token[slot] = self._token_seq
+        self._phase_kind[slot] = PH_COMPUTE
+        self._phase_start[slot] = start
+        self._phase_duration[slot] = remaining
         self._fused_ops = fused
-        self._push(end, EV_PHASE, slot, self._service_token)
+        self._push(end, EV_PHASE, slot, self._token_seq)
 
     def _start_operation(self, slot: int) -> bool:
         op_flat = self._op_off[slot] + self._op_index[slot]
@@ -1575,9 +1587,7 @@ class KernelSimulator:
         if blockers:
             if all(self._should_wound(slot, holder) for holder in blockers):
                 for holder in blockers:
-                    cost = self._rollback_time(holder)
-                    self._abort(holder, wounded_by=slot, cause="lock")
-                    self._pending_rollback[slot] += cost
+                    self._wound(holder, slot, "lock")
             else:
                 self._state[slot] = S_LOCK_BLOCKED
                 self._blocked_on[slot] = item

@@ -14,7 +14,7 @@ simulator, not the authors' SIMPACK binary) are recorded in each result's
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from repro.config import SimulationConfig
 from repro.core.policy import make_policy
@@ -22,7 +22,7 @@ from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
 from repro.experiments.parallel import SweepCell, cells_for_sweep
-from repro.experiments.runner import compare_policies, sweep
+from repro.experiments.runner import sweep
 from repro.metrics.comparison import improvement_percent
 from repro.metrics.summary import RunSummary
 from repro.obs.registry import MetricsRegistry

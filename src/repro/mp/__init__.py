@@ -15,7 +15,10 @@ for the main-memory configuration:
   wait" to "any spare CPU".  Extra CPUs idle rather than perform
   noncontributing executions.
 
-See :class:`repro.mp.simulator.MultiprocessorSimulator`.
+See :class:`repro.mp.simulator.MultiprocessorSimulator`: a subclass of
+the array kernel (:class:`repro.core.kernel.KernelSimulator`) that
+replaces the single-CPU dispatcher with a k-CPU one and shares the
+kernel's operation table, conflict masks, penalty scans and lock table.
 """
 
 from repro.mp.simulator import MultiprocessorSimulator

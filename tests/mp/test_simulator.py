@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core.kernel import UnsupportedKernelFeature
+from repro.core.oracle import SetOracle
 from repro.core.policy import CCAPolicy, EDFPolicy
 from repro.mp.simulator import MultiprocessorSimulator
 from repro.workload.generator import generate_workload
@@ -120,6 +122,30 @@ class TestValidation:
     def test_zero_cpus_rejected(self):
         with pytest.raises(ValueError):
             MultiprocessorSimulator(config(), [make_spec(1, [1])], EDFPolicy(), n_cpus=0)
+
+    def test_firm_deadlines_rejected(self):
+        """Only soft deadlines are modelled; a firm config must not run
+        silently as a soft one."""
+        with pytest.raises(ValueError, match="firm deadlines"):
+            MultiprocessorSimulator(
+                config(firm_deadlines=True), [make_spec(1, [1])], EDFPolicy(), n_cpus=2
+            )
+
+    def test_sanitize_flag_ignored(self):
+        """RTSan validates the reference single-CPU engine only."""
+        result = MultiprocessorSimulator(
+            config(sanitize=True), [make_spec(1, [1])], EDFPolicy(), n_cpus=2
+        ).run()
+        assert result.n_committed == 1
+
+    def test_custom_oracle_unsupported(self):
+        class CustomOracle(SetOracle):
+            pass
+
+        with pytest.raises(UnsupportedKernelFeature):
+            MultiprocessorSimulator(
+                config(), [make_spec(1, [1])], EDFPolicy(), n_cpus=2, oracle=CustomOracle()
+            )
 
 
 class TestGeneratedWorkloads:
